@@ -21,8 +21,9 @@ now that the engine is indexed:
 * **group commit** — log forces with the knob off vs on over the E8a
   heavy-logical workload, both settings verified to recover.
 
-Results are appended to ``BENCH_e10.json`` at the repo root so future
-PRs can track the trajectory (CI diffs the ``ops_per_sec`` lanes, see
+Results are merged into ``$BENCH_OUT/BENCH_e10.json`` (see
+``benchmarks/results.py``); the committed ``BENCH_e10.json`` at the repo
+root tracks the trajectory (CI diffs the ``ops_per_sec`` lanes, see
 ``benchmarks/diff_trajectory.py``).  ``E10_MAX_OPS`` caps the largest
 size (CI smoke runs with ``E10_MAX_OPS=1000``); the sizes and the
 reference measurements scale down with it, so every assertion still
@@ -34,12 +35,10 @@ lane diffs.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import random
 import time
-from pathlib import Path
 from typing import Dict, List
 
 import pytest
@@ -64,6 +63,7 @@ from repro.workloads import (
     LogicalWorkloadConfig,
     register_workload_functions,
 )
+from benchmarks import results
 from benchmarks.conftest import once
 
 MIXES = [
@@ -85,7 +85,6 @@ SPEEDUP_SIZE = REF_SIZES[-1]
 #: smoke sizes leave less quadratic work to win back.
 SPEEDUP_FLOOR = 10.0 if SPEEDUP_SIZE >= 5000 else 3.0
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_e10.json"
 
 
 def _ops_for(mix: dict, size: int, seed: int = 7) -> List:
@@ -125,17 +124,11 @@ def _drive(graph, ops) -> Dict[str, float]:
 
 
 def _record(section: str, payload) -> None:
-    """Merge one section into the BENCH_e10.json trajectory file."""
-    data = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data["max_ops"] = MAX_OPS
-    data["sizes"] = SIZES
-    data[section] = payload
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    """Merge one section into ``$BENCH_OUT/BENCH_e10.json``."""
+    results.record(
+        "BENCH_e10.json", section, payload,
+        max_ops=MAX_OPS, sizes=SIZES,
+    )
 
 
 def _maintenance_sweep() -> Dict[str, Dict]:

@@ -20,18 +20,17 @@ time — as the device gets nastier:
   backup and media restore disabled must land in DEGRADED read-only
   mode in one attempt, never loop.
 
-Results are appended to ``BENCH_e11.json`` at the repo root so future
-PRs can track the trajectory.  ``E11_RUNS`` caps the fuzz runs per
+Results are merged into ``$BENCH_OUT/BENCH_e11.json`` (see
+``benchmarks/results.py``); the committed ``BENCH_e11.json`` at the repo
+root tracks the trajectory.  ``E11_RUNS`` caps the fuzz runs per
 ladder rung (CI smoke runs with ``E11_RUNS=20``); the assertions all
 still run at any cap.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 from typing import Dict
 
 import pytest
@@ -55,6 +54,7 @@ from repro.storage.stable_store import StoredVersion
 from repro.wal.faulty_log import FaultyLog
 from repro.workloads import register_workload_functions
 from tests.conftest import physical
+from benchmarks import results
 from benchmarks.conftest import once
 
 #: Fuzz schedules per ladder rung (CI smoke: E11_RUNS=20).
@@ -66,21 +66,13 @@ OPS = int(os.environ.get("E11_OPS", "30"))
 #: rates stay fixed so attempts isolate the cost of *restarting*.
 CRASH_RATES = (0.0, 0.01, 0.05, 0.15)
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_e11.json"
-
 
 def _record(section: str, payload) -> None:
-    """Merge one section into the BENCH_e11.json trajectory file."""
-    data = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data["runs_per_rung"] = RUNS
-    data["operations"] = OPS
-    data[section] = payload
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    """Merge one section into ``$BENCH_OUT/BENCH_e11.json``."""
+    results.record(
+        "BENCH_e11.json", section, payload,
+        runs_per_rung=RUNS, operations=OPS,
+    )
 
 
 def _harness() -> TortureHarness:
@@ -200,11 +192,11 @@ def test_e11_crash_rate_ladder(benchmark):
 # supervised campaign, exported as the JSONL artifact CI uploads
 # ----------------------------------------------------------------------
 
-#: Where the telemetry artifact lands (repo root, committed as the
-#: CI-grown baseline; CI smoke overrides via E11_METRICS_OUT).
+#: Where the telemetry artifact lands (``$BENCH_OUT`` by default; the
+#: committed ``BENCH_e11_metrics.jsonl`` at the repo root is the
+#: baseline; CI smoke overrides via E11_METRICS_OUT).
 METRICS_PATH = os.environ.get(
-    "E11_METRICS_OUT",
-    str(Path(__file__).resolve().parent.parent / "BENCH_e11_metrics.jsonl"),
+    "E11_METRICS_OUT", str(results.out_path("BENCH_e11_metrics.jsonl"))
 )
 #: Supervised fuzz runs for the telemetry lane (kept small: every run
 #: is a full workload + supervised recovery).

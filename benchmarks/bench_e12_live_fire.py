@@ -22,17 +22,16 @@ and never a value no client sent):
   with no faults armed, so the serving overhead has a number and a
   trajectory.
 
-Results are appended to ``BENCH_e12.json`` at the repo root so future
-PRs can track the trajectory.
+Results are merged into ``$BENCH_OUT/BENCH_e12.json`` (see
+``benchmarks/results.py``); the committed ``BENCH_e12.json`` at the repo
+root tracks the trajectory.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 import time
-from pathlib import Path
 from typing import Dict
 
 import pytest
@@ -49,6 +48,7 @@ from repro.serve import (
     ServeDaemon,
 )
 from repro.workloads import register_workload_functions
+from benchmarks import results
 from benchmarks.conftest import once
 
 #: Seeded live-fire runs in the campaign (CI smoke: E12_RUNS=25).
@@ -56,20 +56,13 @@ RUNS = int(os.environ.get("E12_RUNS", "200"))
 #: Clean-path throughput sample size.
 THROUGHPUT_OPS = int(os.environ.get("E12_THROUGHPUT_OPS", "400"))
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_e12.json"
-
 
 def _record(section: str, payload) -> None:
-    """Merge one section into the BENCH_e12.json trajectory file."""
-    data = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data["runs"] = RUNS
-    data[section] = payload
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    """Merge one section into ``$BENCH_OUT/BENCH_e12.json``."""
+    results.record(
+        "BENCH_e12.json", section, payload,
+        runs=RUNS,
+    )
 
 
 # ----------------------------------------------------------------------

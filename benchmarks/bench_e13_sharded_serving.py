@@ -26,11 +26,9 @@ Lanes (recorded in ``BENCH_e13.json``):
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
-from pathlib import Path
 from typing import Dict, List, Optional
 
 import pytest
@@ -42,6 +40,7 @@ from repro.serve.sharded import ShardedDaemonConfig, ShardedServeDaemon
 from repro.shard import ShardedSystem
 from repro.wal.latency import LatencyLog
 from repro.workloads import register_workload_functions
+from benchmarks import results
 from benchmarks.conftest import once
 
 #: Put requests per client thread per configuration.
@@ -53,22 +52,14 @@ FORCE_LATENCY_MS = float(os.environ.get("E13_FORCE_LATENCY_MS", "1.5"))
 #: Required aggregate speedup from 1 shard to 4 shards at 0% cross.
 MIN_SPEEDUP = float(os.environ.get("E13_MIN_SPEEDUP", "2.5"))
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_e13.json"
-
 
 def _record(section: str, payload) -> None:
-    """Merge one section into the BENCH_e13.json trajectory file."""
-    data = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data["ops_per_client"] = OPS
-    data["clients"] = CLIENTS
-    data["force_latency_ms"] = FORCE_LATENCY_MS
-    data[section] = payload
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    """Merge one section into ``$BENCH_OUT/BENCH_e13.json``."""
+    results.record(
+        "BENCH_e13.json", section, payload,
+        ops_per_client=OPS, clients=CLIENTS,
+        force_latency_ms=FORCE_LATENCY_MS,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -22,16 +22,15 @@ CRC — so both counters must read **zero** on that path.  E14 measures:
   reclaimed, final footprint.  Aggressive compaction must bound the
   footprint; lazy compaction must copy less.
 
-Results merge into ``BENCH_e14.json`` at the repo root (same pattern
-as E11) so future PRs track the trajectory.
+Results merge into ``$BENCH_OUT/BENCH_e14.json`` (see
+``benchmarks/results.py``); the committed ``BENCH_e14.json`` at the repo
+root tracks the trajectory.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 from typing import Dict
 
 import pytest
@@ -49,6 +48,7 @@ from repro.analysis import Table, format_bytes
 from repro.storage import FlushTransaction, make_store
 from repro.storage.logstore import LogStructuredStableStore
 from repro.storage.registry import recommended_cache_config
+from benchmarks import results
 from benchmarks.conftest import once, payload
 
 #: Operations in the workload (CI smoke: E14_OPS=20).
@@ -57,7 +57,6 @@ OBJECT_SIZE = 2 * 1024
 #: Objects per multi-object operation — the paper's common k=2 case.
 SET_SIZE = 2
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_e14.json"
 
 #: The three C3 configurations: (backend, cache-config factory).
 LANES = {
@@ -74,17 +73,11 @@ LANES = {
 
 
 def _record(section: str, payload_dict) -> None:
-    """Merge one section into the BENCH_e14.json trajectory file."""
-    data = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data["operations"] = OPS
-    data["object_size"] = OBJECT_SIZE
-    data[section] = payload_dict
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    """Merge one section into ``$BENCH_OUT/BENCH_e14.json``."""
+    results.record(
+        "BENCH_e14.json", section, payload_dict,
+        operations=OPS, object_size=OBJECT_SIZE,
+    )
 
 
 def _pair_op(step: int) -> Operation:

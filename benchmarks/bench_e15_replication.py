@@ -25,7 +25,8 @@ catch-up, not a full replay.  Three lanes:
   (``acked_per_s_replicated``), so the durability upgrade's price has a
   number and a trajectory.
 
-Results are appended to ``BENCH_e15.json`` at the repo root;
+Results are merged into ``$BENCH_OUT/BENCH_e15.json`` (see
+``benchmarks/results.py``);
 ``benchmarks/diff_trajectory.py`` treats ``seconds_per_*`` and
 ``lag_*`` lanes as lower-is-better and ``acked_per_s*`` as
 higher-is-better.
@@ -33,10 +34,8 @@ higher-is-better.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 from typing import Dict, List
 
 import pytest
@@ -57,6 +56,7 @@ from repro.serve import (
     ServeDaemon,
 )
 from repro.workloads import register_workload_functions
+from benchmarks import results
 from benchmarks.conftest import once
 
 #: Seeded kill/zombie-promote runs in the campaign (CI smoke: E15_RUNS=6).
@@ -66,20 +66,13 @@ LAG_WRITES = int(os.environ.get("E15_LAG_WRITES", "200"))
 #: Puts per throughput lane (standalone and replicated).
 THROUGHPUT_OPS = int(os.environ.get("E15_THROUGHPUT_OPS", "300"))
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_e15.json"
-
 
 def _record(section: str, payload) -> None:
-    """Merge one section into the BENCH_e15.json trajectory file."""
-    data = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data["runs"] = RUNS
-    data[section] = payload
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    """Merge one section into ``$BENCH_OUT/BENCH_e15.json``."""
+    results.record(
+        "BENCH_e15.json", section, payload,
+        runs=RUNS,
+    )
 
 
 def _percentile(values: List[float], fraction: float) -> float:

@@ -21,7 +21,8 @@ or losing time.  Two lanes:
   against the same single daemon: ``acked_per_s_untraced`` /
   ``acked_per_s_traced`` plus the ratio sanity bar.
 
-Results are appended to ``BENCH_e16.json`` at the repo root;
+Results are merged into ``$BENCH_OUT/BENCH_e16.json`` (see
+``benchmarks/results.py``);
 ``benchmarks/diff_trajectory.py`` treats ``stage_ms_*`` as
 lower-is-better and ``acked_per_s*`` as higher-is-better.
 """
@@ -31,7 +32,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 from typing import Dict, List
 
 import pytest
@@ -43,6 +43,7 @@ from repro.obs.tracetree import build_trace, trace_has_stages
 from repro.replica import ReplicationConfig, WitnessConfig, WitnessDaemon
 from repro.serve import DaemonClient, DaemonConfig, ServeDaemon
 from repro.workloads import register_workload_functions
+from benchmarks import results
 from benchmarks.conftest import once
 
 #: Traced puts in the attribution lane (CI smoke: E16_WRITES=40).
@@ -61,20 +62,13 @@ STAGES = (
     "witness.ack_ms",
 )
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_e16.json"
-
 
 def _record(section: str, payload) -> None:
-    """Merge one section into the BENCH_e16.json trajectory file."""
-    data = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data["writes"] = WRITES
-    data[section] = payload
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    """Merge one section into ``$BENCH_OUT/BENCH_e16.json``."""
+    results.record(
+        "BENCH_e16.json", section, payload,
+        writes=WRITES,
+    )
 
 
 def _start_pair():

@@ -7,14 +7,15 @@ the protocol in :mod:`repro.replica.wire`:
 * a witness's ``repl_subscribe`` registers its connection (and durable
   watermark) here; the reply carries the primary's epoch and stable
   end, and a catch-up batch follows immediately;
-* after every client write's WAL force, the apply loop calls
-  :meth:`replicate`, which ships the new stable records and **blocks
-  until the witness's durable watermark covers the operation's lSI**
-  (or the request deadline runs out).  Replication is
-  semi-synchronous: with no witness attached, or a witness too slow,
-  the write is answered ``UNAVAILABLE`` and *not* acknowledged —
-  consistency over availability, so the acked-write oracle holds
-  across failover;
+* after each group of client writes is forced (the daemon commits
+  whatever writes were already queued together), the apply loop calls
+  :meth:`replicate` once, which ships the new stable records as one
+  batch and **blocks until the witness's durable watermark covers the
+  group's highest lSI** (or the latest member deadline runs out).
+  Replication is semi-synchronous: with no witness attached, or a
+  witness too slow, the group's writes are answered ``UNAVAILABLE``
+  and *not* acknowledged — consistency over availability, so the
+  acked-write oracle holds across failover;
 * the shipped-but-unacked window is pinned against checkpoint
   truncation with a log protection
   (:meth:`~repro.wal.log_manager.LogManager.add_protection`), advanced
@@ -247,14 +248,24 @@ class ReplicationSender:
     ) -> None:
         """Block until the witness durably holds ``lsi``; raise otherwise.
 
-        Called by the apply loop after the local WAL force, before the
-        client ack.  Raises :class:`FencedError` if this primary has
-        been fenced, :class:`ServerUnavailableError` (retryable) when
-        no witness is attached or the receipt does not arrive in time.
+        Called by the apply loop once per group of writes, after the
+        group's local WAL force and before any member is acked: ``lsi``
+        is the group's highest, so one shipped batch and one receipt
+        cover every member, and no member is acked before the witness's
+        durable watermark covers its record.  The group is whatever
+        writes were already queued together; there is no batching knob.
+        ``deadline`` is the latest member deadline; the daemon refuses,
+        rather than acks, any member whose own deadline passed before
+        this returns.  Raises
+        :class:`FencedError` if this primary has been fenced,
+        :class:`ServerUnavailableError` (retryable) when no witness is
+        attached or the receipt does not arrive in time; either way the
+        daemon acks no member of the group.
 
-        ``trace`` is the acking request's trace context: the batch that
-        ships this lSI carries it on the wire, so the witness's adopt
-        and durable-ack spans join the request's tree.
+        ``trace`` is the group's leading (first traced) request's
+        context: the batch that ships this lSI carries it on the wire,
+        so the witness's adopt and durable-ack spans join that
+        request's tree.
         """
         timeout_at = time.monotonic() + self.config.ack_timeout_s
         if deadline is not None:

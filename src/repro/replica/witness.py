@@ -42,10 +42,16 @@ from repro.common.identifiers import NULL_SI, StateId
 from repro.core.operation import TOMBSTONE
 from repro.kernel.supervisor import RecoverySupervisor
 from repro.kernel.system import RecoverableSystem, SystemHealth
+from repro.obs.tracing import TraceContext
 from repro.replica import wire
 from repro.replica.epoch import INITIAL_EPOCH, EpochStore
 from repro.serve import protocol
-from repro.serve.server import DaemonConfig, ServeDaemon, _Connection
+from repro.serve.server import (
+    DaemonConfig,
+    ServeDaemon,
+    _Connection,
+    _Reply,
+)
 from repro.storage.backup import FuzzyBackup
 
 
@@ -231,11 +237,14 @@ class WitnessDaemon(ServeDaemon):
         return answer
 
     def _dispatch(
-        self, request: Dict[str, Any], request_id: Any
-    ) -> Dict[str, Any]:
+        self,
+        request: Dict[str, Any],
+        request_id: Any,
+        trace: Optional[TraceContext],
+    ) -> _Reply:
         if request.get("kind") == "promote":
             return self._promote(request_id)
-        return super()._dispatch(request, request_id)
+        return super()._dispatch(request, request_id, trace)
 
     # ------------------------------------------------------------------
     # the subscriber: dial, adopt, ack, redo
@@ -505,7 +514,12 @@ class WitnessDaemon(ServeDaemon):
                 pass
         self._halt_subscriber()
         with self._witness_lock:
-            watermark = self.system.log.stable_end_lsi()
+            # Every receipt this witness sent is covered: a redo cycle
+            # may have truncated the adopted log down to nothing, so its
+            # stable end alone can fall below what was acknowledged.
+            watermark = max(
+                self._adopted_through, self.system.log.stable_end_lsi()
+            )
             if not self.system._crashed:
                 self.system.crash()
             RecoverySupervisor(

@@ -15,21 +15,34 @@ into an *operable* long-running process:
   refused outright when FAILED;
 * **single-writer apply loop** — the kernel is not thread-safe, so all
   system access is confined to one apply thread fed by the admission
-  queue; reader threads only frame, validate, gate and enqueue.
-  Because every acknowledgment is sent *after* the operation's log
-  record is forced stable, an acked write is durable by construction —
-  the exactly-once visibility invariant the live-fire torture lane
-  asserts;
+  queue; reader threads only frame, validate, gate and enqueue;
+* **grouped acks** — after taking a write (``put``/``delete``/
+  ``apply``) the apply loop also takes every write already waiting in
+  the queue; an empty queue or a non-write closes the group.  The
+  members execute in queue order, then one ``force_through`` of the
+  group's highest lSI (and, when replicating, one witness round trip)
+  commits them all, and only then is each member answered, in queue
+  order.  A group of one is the single-client case; there is no
+  interval, size or flag to tune.  Because every acknowledgment is sent
+  *after* its record is forced stable (and covered by the witness's
+  durable watermark), an acked write is durable by construction — the
+  exactly-once visibility invariant the live-fire torture lane asserts;
+  a failed force, serving crash or replication refusal answers every
+  executed member of the group with that error and acks none;
 * **deadlines and backpressure** — every request carries a deadline
   budget (``deadline_ms``, defaulted and capped by config); a request
   that expires while queued is answered ``DEADLINE`` without touching
-  the system, and a full queue answers ``BACKPRESSURE`` with a
+  the system, a replicated write whose deadline passes before the
+  witness's receipt is answered ``UNAVAILABLE`` (never acked), even
+  when the rest of its group is acked, and a full queue answers
+  ``BACKPRESSURE`` with a
   ``retry_after_ms`` hint the client's backoff honors;
 * **mid-serve crash watchdog** — a storage failure surfacing inside
   the apply loop discards volatile state and re-runs the supervisor
-  ladder while admission keeps queueing; the in-flight request gets a
-  retryable ``UNAVAILABLE`` answer (its durability is decided by the
-  WAL, and the daemon only ever acks after a force);
+  ladder while admission keeps queueing; the in-flight group's executed
+  requests get a retryable ``UNAVAILABLE`` answer (their durability is
+  decided by the WAL, and the daemon only ever acks after a force), and
+  the group's unexecuted rest is served after the recovery;
 * **graceful shutdown** — ``stop()`` (the SIGTERM path) stops
   admitting, drains the queue, forces the WAL, checkpoints, and closes;
   ``kill()`` models SIGKILL for harnesses: everything stops now and
@@ -42,12 +55,15 @@ listener so the registry PR 5 built is scrapeable while faults fire.
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import (
+    Any, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING, Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.replica.sender import ReplicationConfig
@@ -59,6 +75,7 @@ from repro.common.errors import (
     SimulatedCrash,
     TransientStorageError,
 )
+from repro.common.identifiers import StateId
 from repro.core.operation import Operation, OpKind, delete_object
 from repro.kernel.system import RecoverableSystem, SystemHealth
 from repro.obs.flightrec import FlightRecorder
@@ -72,6 +89,10 @@ from repro.storage.backup import FuzzyBackup
 
 #: Request kinds that mutate state (gated in DEGRADED health).
 WRITE_KINDS = frozenset({"put", "delete", "apply"})
+
+#: Failures inside the apply loop that discard volatile state and hand
+#: the system to the watchdog.
+_SERVING_CRASHES = (SimulatedCrash, CorruptObjectError, TransientStorageError)
 
 
 @dataclass
@@ -117,6 +138,21 @@ class _Work:
     enqueued: float
     #: Distributed-trace context minted by the client (None untraced).
     trace: Optional[TraceContext] = None
+
+
+@dataclass
+class _Ack:
+    """An executed write waiting for its group's commit."""
+
+    request_id: Any
+    lsi: StateId
+    #: Extra fields of the ok answer (an apply's computed writes).
+    fields: Dict[str, Any]
+
+
+#: What executing one request yields: its answer, or an ack to be sent
+#: once its group commits.
+_Reply = Union[Dict[str, Any], _Ack]
 
 
 class _Connection:
@@ -200,12 +236,6 @@ class ServeDaemon:
         self._apply_idle.set()
         self._started = False
         self._op_counter = 0
-        #: Deadline of the request the apply thread is executing (the
-        #: replication wait honors it; single apply thread, no races).
-        self._deadline_in_flight: Optional[float] = None
-        #: Trace context of the request the apply thread is executing
-        #: (same single-thread pattern as the deadline).
-        self._trace_in_flight: Optional[TraceContext] = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -552,7 +582,11 @@ class ServeDaemon:
                 continue
             self._apply_idle.clear()
             try:
-                self._apply_one(work)
+                group, closer = self._take_group(work)
+                while group:
+                    group = self._serve_group(group)
+                if closer is not None:
+                    self._serve_group([closer])
             finally:
                 self._apply_idle.set()
                 if self.system.obs.enabled:
@@ -560,105 +594,178 @@ class ServeDaemon:
                         "serve.queue_depth", self._queue.qsize()
                     )
 
-    def _apply_one(self, work: _Work) -> None:
+    def _take_group(
+        self, first: _Work
+    ) -> Tuple[List[_Work], Optional[_Work]]:
+        """``first`` plus every write already queued behind it.
+
+        A write opens a group and takes the writes waiting in the queue;
+        an empty queue or a non-write closes it, and that closing
+        request is returned to be served after the group's acks.  A
+        non-write is a group of its own.  There is no interval or size
+        limit: the group is whatever is already queued.
+        """
+        group = [first]
+        if first.request.get("kind") not in WRITE_KINDS:
+            return group, None
+        while True:
+            try:
+                work = self._queue.get_nowait()
+            except queue.Empty:
+                return group, None
+            if work.request.get("kind") not in WRITE_KINDS:
+                return group, work
+            group.append(work)
+
+    def _serve_group(self, group: List[_Work]) -> List[_Work]:
+        """Execute ``group`` in queue order, commit its writes, answer.
+
+        The members execute one after another; the writes among them
+        then share one WAL force and one replication round trip
+        (:meth:`_commit`), and only after that is every member answered,
+        in queue order.  So no ack precedes its record's force (and
+        witness receipt), and each connection's answers keep its request
+        order.  A failed commit, or a serving crash while executing,
+        answers every executed write with that error and acks none; a
+        write whose own deadline passed before the witness's receipt
+        arrived is refused ``UNAVAILABLE`` as it would be alone.
+
+        Returns the members a serving crash left unexecuted; the caller
+        serves them as the next group, after the watchdog's recovery.
+        """
+        obs = self.system.obs
+        replies: List[Tuple[_Work, _Reply, float]] = []
+        failure: Optional[BaseException] = None
+        failure_trace: Optional[TraceContext] = None
+        rest: List[_Work] = []
+        for index, work in enumerate(group):
+            started = time.monotonic()
+            try:
+                reply = self._execute(work, started)
+            except _SERVING_CRASHES as exc:
+                failure, failure_trace = exc, work.trace
+                reply = self._refusal(exc, work.request.get("id"))
+                rest = group[index + 1:]
+            replies.append((work, reply, started))
+            if failure is not None:
+                break
+        writes = [(work, reply) for work, reply, _ in replies
+                  if isinstance(reply, _Ack)]
+        received: Optional[float] = None
+        if writes and failure is None:
+            try:
+                received = self._commit(writes)
+            except Exception as exc:  # noqa: BLE001 - answered below
+                failure = exc
+                failure_trace = next(
+                    (work.trace for work, _ in writes if work.trace), None
+                )
+        for work, reply, started in replies:
+            if isinstance(reply, _Ack):
+                if failure is not None:
+                    reply = self._refusal(failure, reply.request_id)
+                elif received is not None and received > work.deadline:
+                    reply = self._late_receipt(reply)
+                else:
+                    reply = self._acknowledge(reply)
+            if obs.enabled:
+                obs.observe(
+                    "serve.request_seconds", time.monotonic() - started
+                )
+            work.conn.send(reply)
+        if isinstance(failure, _SERVING_CRASHES):
+            # Every member is answered (retryable) before the ladder
+            # runs, so no client waits out the whole recovery.
+            self.watchdog.handle_serving_crash(failure, trace=failure_trace)
+        return rest
+
+    def _execute(self, work: _Work, now: float) -> _Reply:
+        """Gate and run one member: its answer, or an :class:`_Ack`.
+
+        A serving crash propagates to :meth:`_serve_group`; any other
+        error becomes this member's answer.
+        """
         obs = self.system.obs
         request = work.request
         request_id = request.get("id")
         health = self.system.health
-        now = time.monotonic()
         if now > work.deadline:
             if obs.enabled:
                 obs.count("serve.rejected.deadline")
-            work.conn.send(
-                protocol.error_response(
-                    request_id,
-                    "DEADLINE",
-                    f"deadline expired after {now - work.enqueued:.3f}s "
-                    "in queue",
-                    health.value,
-                )
+            return protocol.error_response(
+                request_id,
+                "DEADLINE",
+                f"deadline expired after {now - work.enqueued:.3f}s in queue",
+                health.value,
             )
-            return
         # Health may have moved while the request sat in the backlog
         # (a watchdog restart ran): re-gate before touching the kernel.
         if health is SystemHealth.FAILED:
-            work.conn.send(
-                protocol.error_response(
-                    request_id,
-                    "FAILED",
-                    "recovery did not converge; the system is failed",
-                    health.value,
-                )
+            return protocol.error_response(
+                request_id,
+                "FAILED",
+                "recovery did not converge; the system is failed",
+                health.value,
             )
-            return
         if obs.enabled:
             tags = work.trace.child().tags() if work.trace else {}
             obs.record_span(
                 "ack.queue_ms", now - work.enqueued, kind=request.get("kind"),
                 **tags
             )
-        self._deadline_in_flight = work.deadline
-        self._trace_in_flight = work.trace
         try:
-            response = self._dispatch(request, request_id)
-        except FencedError as exc:
-            response = protocol.error_response(
-                request_id, "FENCED", str(exc), self.system.health.value
+            return self._dispatch(request, request_id, work.trace)
+        except _SERVING_CRASHES:
+            raise
+        except Exception as exc:  # noqa: BLE001 - the loop must survive
+            return self._refusal(exc, request_id)
+
+    def _refusal(self, exc: BaseException, request_id: Any) -> Dict[str, Any]:
+        """The answer to a request that ``exc`` stopped: never an ack."""
+        health = self.system.health.value
+        if isinstance(exc, FencedError):
+            return protocol.error_response(
+                request_id, "FENCED", str(exc), health
             )
-        except ServerUnavailableError as exc:
+        if isinstance(exc, ServerUnavailableError):
             # Replication could not confirm the witness's durable
             # receipt: the write executed locally but was NOT acked —
             # at-least-once retries are safe, acks are never produced
             # without the receipt.
-            response = protocol.error_response(
+            return protocol.error_response(
                 request_id,
                 "UNAVAILABLE",
                 str(exc),
-                self.system.health.value,
+                health,
                 exc.retry_after_ms or self.config.retry_after_ms,
             )
-        except DegradedModeError as exc:
-            response = protocol.error_response(
-                request_id, "DEGRADED", str(exc), self.system.health.value
+        if isinstance(exc, DegradedModeError):
+            return protocol.error_response(
+                request_id, "DEGRADED", str(exc), health
             )
-        except (SimulatedCrash, CorruptObjectError, TransientStorageError) as exc:
+        if isinstance(exc, _SERVING_CRASHES):
             # Mid-serve crash: the request's durability is whatever the
             # WAL made of it (never acked here), and the watchdog owns
-            # getting the system back.  Answer retryable first so the
-            # client is not stuck waiting out the whole recovery.
-            work.conn.send(
-                protocol.error_response(
-                    request_id,
-                    "UNAVAILABLE",
-                    f"serving crash ({type(exc).__name__}: {exc}); "
-                    "recovery in progress",
-                    SystemHealth.RECOVERING.value,
-                    self.config.retry_after_ms,
-                )
-            )
-            self.watchdog.handle_serving_crash(exc, trace=work.trace)
-            return
-        except ReproError as exc:
-            response = protocol.error_response(
+            # getting the system back.
+            return protocol.error_response(
                 request_id,
-                "BAD_REQUEST",
-                f"{type(exc).__name__}: {exc}",
-                self.system.health.value,
+                "UNAVAILABLE",
+                f"serving crash ({type(exc).__name__}: {exc}); "
+                "recovery in progress",
+                SystemHealth.RECOVERING.value,
+                self.config.retry_after_ms,
             )
-        except Exception as exc:  # noqa: BLE001 - the loop must survive
-            response = protocol.error_response(
-                request_id,
-                "INTERNAL",
-                f"{type(exc).__name__}: {exc}",
-                self.system.health.value,
-            )
-        if obs.enabled:
-            obs.observe("serve.request_seconds", time.monotonic() - now)
-        work.conn.send(response)
+        code = "BAD_REQUEST" if isinstance(exc, ReproError) else "INTERNAL"
+        return protocol.error_response(
+            request_id, code, f"{type(exc).__name__}: {exc}", health
+        )
 
     def _dispatch(
-        self, request: Dict[str, Any], request_id: Any
-    ) -> Dict[str, Any]:
+        self,
+        request: Dict[str, Any],
+        request_id: Any,
+        trace: Optional[TraceContext],
+    ) -> _Reply:
         kind = request["kind"]
         system = self.system
         health = system.health.value
@@ -682,10 +789,10 @@ class ServeDaemon:
                 writes=frozenset({obj}),
                 payload={obj: value},
             )
-            return self._execute_durably(op, request_id)
+            return self._execute_write(op, request_id, trace)
         if kind == "delete":
             obj = self._require_obj(request)
-            return self._execute_durably(delete_object(obj), request_id)
+            return self._execute_write(delete_object(obj), request_id, trace)
         if kind == "apply":
             fn = request.get("fn")
             reads = request.get("reads") or []
@@ -708,68 +815,125 @@ class ServeDaemon:
                 fn=fn,
                 params=tuple(params),
             )
-            return self._execute_durably(op, request_id, include_writes=True)
+            return self._execute_write(
+                op, request_id, trace, include_writes=True
+            )
         if kind == "promote":
             raise protocol.ProtocolError(
                 "this server is not a witness; there is nothing to promote"
             )
         raise protocol.ProtocolError(f"unhandled request kind {kind!r}")
 
-    def _execute_durably(
+    def _execute_write(
         self,
         op: Operation,
         request_id: Any,
+        trace: Optional[TraceContext],
         include_writes: bool = False,
-    ) -> Dict[str, Any]:
-        """Execute, then force the WAL through the op before acking.
-
-        The force is the acknowledgment contract: a response with
-        ``ok: true`` means the operation's record is on the stable log,
-        so no crash — SIGKILL included — can take it back.  With
-        replication enabled the contract widens: the ack additionally
-        waits for the witness's durable receipt of the record
-        (semi-synchronous shipping), so the acked write survives the
-        loss of either machine; if the receipt cannot be confirmed the
-        client gets a retryable ``UNAVAILABLE`` and no ack.
-        """
+    ) -> _Ack:
+        """Execute a write; its ack waits for the group's :meth:`_commit`."""
         system = self.system
-        obs = system.obs
-        trace = self._trace_in_flight
         if self.replication is not None and self.replication.fenced:
             raise FencedError(
                 f"primary epoch {self.replication.epoch} is fenced; a "
                 "promoted witness is serving"
             )
-        # The ack pipeline, one ``ack.*_ms`` stage span per phase.  Each
-        # stage is a direct child of the client's root span; the
-        # replication wait additionally hands its context to the sender
-        # so the shipped batch (and the witness's spans) nest under it.
-        with obs.span("ack.apply_ms",
-                      **(trace.child().tags() if trace else {})):
+        # The ack pipeline, one ``ack.*_ms`` stage span per phase, each a
+        # direct child of the client's root span: apply here, the shared
+        # force and replication wait in _commit.
+        with system.obs.span("ack.apply_ms",
+                             **(trace.child().tags() if trace else {})):
             writes = system.execute(op)
-        with obs.span("ack.force_ms",
-                      **(trace.child().tags() if trace else {})):
-            system.log.force_through(op.lsi)
-        if self.replication is not None:
-            wait_ctx = trace.child() if trace else None
-            with obs.span("ack.repl_wait_ms",
-                          **(wait_ctx.tags() if wait_ctx else {})):
-                self.replication.replicate(
-                    op.lsi, self._deadline_in_flight, trace=wait_ctx
-                )
-        if obs.enabled:
-            obs.count("serve.acked_writes")
-        fields: Dict[str, Any] = {"lsi": op.lsi}
-        epoch = self.current_epoch()
-        if epoch is not None:
-            fields["epoch"] = epoch
+        fields: Dict[str, Any] = {}
         if include_writes:
             fields["writes"] = {
                 str(obj): protocol.encode_value(value)
                 for obj, value in writes.items()
             }
+        return _Ack(request_id, op.lsi, fields)
+
+    def _commit(self, writes: List[Tuple[_Work, _Ack]]) -> Optional[float]:
+        """Make a group's writes durable: one force, one receipt.
+
+        The force is the acknowledgment contract: forcing the log
+        prefix through the group's highest lSI puts every member's
+        record on the stable log, so no crash — SIGKILL included — can
+        take an ack back.  With replication enabled the contract widens:
+        the acks additionally wait for the witness's durable watermark
+        to cover that lSI (semi-synchronous shipping, one batch for the
+        group), bounded by the latest member deadline, so an acked write
+        survives the loss of either machine.  Returns when the witness's
+        receipt arrived (None without replication): a member whose own
+        deadline had passed by then is refused, not acked.  Raises when
+        either step fails; the caller then acks no member.
+
+        Every member's trace gets the shared ``ack.force_ms`` and
+        ``ack.repl_wait_ms`` spans; the first traced member leads, and
+        its wait context rides the shipped batch, so the ship and the
+        witness's adopt and ack spans nest under it.
+        """
+        lsi = max(ack.lsi for _, ack in writes)
+        traces = [work.trace for work, _ in writes]
+        with self._shared_span("ack.force_ms", traces):
+            self.system.log.force_through(lsi)
+        if self.replication is None:
+            return None
+        deadline = max(work.deadline for work, _ in writes)
+        with self._shared_span("ack.repl_wait_ms", traces) as lead:
+            self.replication.replicate(lsi, deadline, trace=lead)
+        return time.monotonic()
+
+    @contextlib.contextmanager
+    def _shared_span(
+        self, name: str, traces: List[Optional[TraceContext]]
+    ) -> Iterator[Optional[TraceContext]]:
+        """Time one group stage as a span in every member's trace.
+
+        Yields the span context of the first traced member (None when no
+        member is traced).  Untraced members still get an untagged span,
+        so the stage histogram counts one observation per write.
+        """
+        obs = self.system.obs
+        contexts = [trace.child() if trace else None for trace in traces]
+        ts, start = time.time(), time.perf_counter()
+        error: Optional[str] = None
+        try:
+            yield next((ctx for ctx in contexts if ctx is not None), None)
+        except BaseException as exc:
+            error = repr(exc)
+            raise
+        finally:
+            if obs.enabled:
+                seconds = time.perf_counter() - start
+                for ctx in contexts:
+                    tags = ctx.tags() if ctx is not None else {}
+                    if error is not None:
+                        tags.update(outcome="error", error=error)
+                    obs.record_span(name, seconds, ts=ts, **tags)
+
+    def _late_receipt(self, ack: _Ack) -> Dict[str, Any]:
+        """The answer to a write whose deadline ran out before the
+        witness's receipt: the same refusal a lone write would get."""
+        return self._refusal(
+            ServerUnavailableError(
+                "write executed but not acknowledged: witness receipt for "
+                f"lSI {ack.lsi} did not arrive in time",
+                retry_after_ms=self.replication.config.retry_after_ms,
+            ),
+            ack.request_id,
+        )
+
+    def _acknowledge(self, ack: _Ack) -> Dict[str, Any]:
+        """The ok answer for a write whose group committed."""
+        if self.system.obs.enabled:
+            self.system.obs.count("serve.acked_writes")
+        fields: Dict[str, Any] = {"lsi": ack.lsi}
+        epoch = self.current_epoch()
+        if epoch is not None:
+            fields["epoch"] = epoch
+        fields.update(ack.fields)
         return protocol.ok_response(
-            request_id, system.health.value, **fields
+            ack.request_id, self.system.health.value, **fields
         )
 
     def current_epoch(self) -> Optional[int]:

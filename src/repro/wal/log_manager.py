@@ -34,6 +34,18 @@ from repro.wal.records import (
 )
 
 
+def _index_from(records: List[LogRecord], lsi: StateId) -> int:
+    """Index of the first record with lSI >= ``lsi`` (lSI-ascending list)."""
+    lo, hi = 0, len(records)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if records[mid].lsi < lsi:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 class LogManager:
     """Append-ordered log with a volatile buffer and a stable tail."""
 
@@ -270,17 +282,11 @@ class LogManager:
                     self.stats.log_force_saves += 1
                     self._requested_high = lsi
                 return
-            # The buffer is lsi-ordered, so the prefix cut is a bisect.
-            lo, hi = 0, len(self._buffer)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if self._buffer[mid].lsi <= lsi:
-                    lo = mid + 1
-                else:
-                    hi = mid
             self._requested_high = max(self._requested_high, lsi)
+            # The buffer is lsi-ordered, so the prefix cut is a bisect.
             self._force_records(
-                len(self._buffer) if self.group_commit else lo
+                len(self._buffer) if self.group_commit
+                else _index_from(self._buffer, lsi + 1)
             )
 
     def _force_records(self, count: int) -> None:
@@ -356,10 +362,18 @@ class LogManager:
     def stable_records(
         self, from_lsi: StateId = NULL_SI
     ) -> Iterator[LogRecord]:
-        """Stable records with lSI >= ``from_lsi``, in log order."""
-        for record in self._stable:
-            if record.lsi >= from_lsi:
-                yield record
+        """Stable records with lSI >= ``from_lsi``, in log order.
+
+        The stable list is lSI-ascending (gapped on an adopting witness),
+        so the scan starts at a bisect: its cost follows the records
+        returned, not the log's length.  Records made stable while the
+        scan is under way are yielded too.
+        """
+        stable = self._stable
+        index = _index_from(stable, from_lsi)
+        while index < len(stable):
+            yield stable[index]
+            index += 1
 
     def stable_end_lsi(self) -> StateId:
         """lSI of the last stable record (NULL_SI when empty)."""

@@ -122,6 +122,78 @@ class TestReading:
         assert log.stable_start_lsi() == lsis[0]
 
 
+def _filtered(log: LogManager, from_lsi: int) -> list:
+    """The whole-list filter the bisecting scan must reproduce."""
+    return [r.lsi for r in log._stable if r.lsi >= from_lsi]
+
+
+def _adopted(lsis) -> LogManager:
+    log = LogManager()
+    records = []
+    for lsi in lsis:
+        record = LogRecord()
+        record.lsi = lsi
+        records.append(record)
+    log.adopt_records(records)
+    return log
+
+
+class TestStableScanFrom:
+    """``stable_records(from_lsi)`` starts at a bisect, not a filter."""
+
+    @pytest.mark.parametrize("from_lsi", range(0, 23))
+    def test_gapped_adopted_log(self, from_lsi):
+        # A witness's log keeps the primary's lSIs, with gaps where the
+        # primary's private bookkeeping records were never shipped.
+        log = _adopted([3, 4, 9, 12, 13, 20])
+        got = [r.lsi for r in log.stable_records(from_lsi)]
+        assert got == _filtered(log, from_lsi)
+
+    @pytest.mark.parametrize("from_lsi", [NULL_SI, 1, 5, 6, 7, 9, 10, 11, 99])
+    def test_after_truncate_before(self, from_lsi):
+        log = LogManager()
+        for _ in range(10):
+            log.append(LogRecord())
+        log.force()
+        log.truncate_before(6, redo_start=6)
+        assert log.stable_start_lsi() == 6
+        got = [r.lsi for r in log.stable_records(from_lsi)]
+        assert got == _filtered(log, from_lsi)
+
+    def test_below_between_and_past_the_end(self):
+        log = _adopted([5, 8, 11])
+        assert [r.lsi for r in log.stable_records(NULL_SI)] == [5, 8, 11]
+        assert [r.lsi for r in log.stable_records(6)] == [8, 11]
+        assert [r.lsi for r in log.stable_records(8)] == [8, 11]
+        assert list(log.stable_records(12)) == []
+        assert list(LogManager().stable_records(3)) == []
+
+    def test_records_forced_mid_scan_are_yielded(self):
+        log = LogManager()
+        for _ in range(2):
+            log.append(LogRecord())
+        log.force()
+        scan = log.stable_records(2)
+        assert next(scan).lsi == 2
+        log.append(LogRecord())
+        log.force()
+        assert [r.lsi for r in scan][-1] == 3
+
+    def test_faulty_log_scan_is_one_fault_point(self):
+        from repro.storage.faults import FaultModel
+        from repro.wal.faulty_log import FaultyLog
+
+        model = FaultModel()  # counting only
+        log = FaultyLog(model)
+        for _ in range(6):
+            log.append(LogRecord())
+        log.force()
+        before = model.next_point
+        got = [r.lsi for r in log.stable_records(3)]
+        assert got == _filtered(log, 3)
+        assert model.next_point == before + 1
+
+
 class TestTruncation:
     def test_truncate_discards_prefix(self):
         log = LogManager()

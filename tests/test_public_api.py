@@ -49,6 +49,25 @@ class TestTopLevel:
         parts = repro.__version__.split(".")
         assert len(parts) == 3 and all(p.isdigit() for p in parts)
 
+    def test_package_metadata_matches_version(self):
+        # One source: pyproject declares the version dynamic, read from
+        # repro.__version__, so an install stamps the same number.
+        import importlib.metadata
+
+        try:
+            installed = importlib.metadata.version("repro")
+        except importlib.metadata.PackageNotFoundError:
+            installed = None  # run from a source tree (PYTHONPATH=src)
+        if installed is not None:
+            assert installed == repro.__version__
+        pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # "support is in beta"
+            config = pyprojecttoml.read_configuration(str(pyproject))
+        assert "version" in config["project"]["dynamic"]
+        assert config["project"]["version"] == repro.__version__
+
     def test_storage_surface_exported(self):
         # The pluggable-backend surface (PR 8) is part of the package
         # API: the backends, their fault-injecting variants, and the

@@ -49,6 +49,7 @@ from repro.wal.records import (
     OperationRecord,
 )
 from repro.workloads import register_workload_functions
+from tests.queue_gate import install_gate, run_on_own_connections, wait_queued
 
 
 def _op_record(lsi: int, obj: str = "x", value: bytes = b"v") -> OperationRecord:
@@ -200,14 +201,21 @@ class TestAdoptRecords:
 # ----------------------------------------------------------------------
 # live pairs
 # ----------------------------------------------------------------------
-def _start_pair(redo_every_records: int = 8):
+def _primary(ack_timeout_s: float = 2.0) -> ServeDaemon:
+    """A not-yet-started replicating primary."""
     primary_system = RecoverableSystem()
     register_workload_functions(primary_system.registry)
-    primary = ServeDaemon(
+    return ServeDaemon(
         primary_system,
         DaemonConfig(port=0, http_port=None, retry_after_ms=5),
-        replication=ReplicationConfig(ack_timeout_s=2.0, retry_after_ms=5),
-    ).start()
+        replication=ReplicationConfig(ack_timeout_s=ack_timeout_s,
+                                      retry_after_ms=5),
+    )
+
+
+def _with_witness(primary: ServeDaemon, redo_every_records: int = 8):
+    """Start ``primary`` and a witness of it; wait until attached."""
+    primary.start()
     witness_system = RecoverableSystem()
     register_workload_functions(witness_system.registry)
     witness = WitnessDaemon(
@@ -227,6 +235,19 @@ def _start_pair(redo_every_records: int = 8):
     witness.stop(graceful=False)
     primary.kill()
     raise AssertionError("witness never attached")
+
+
+def _start_pair(redo_every_records: int = 8):
+    """A started primary/witness pair."""
+    return _with_witness(_primary(), redo_every_records)
+
+
+def _start_gated_pair(ack_timeout_s: float = 2.0):
+    """A started pair whose primary's apply loop waits for
+    ``gate.opened``; returns ``(primary, witness, gate)``."""
+    primary = _primary(ack_timeout_s)
+    gate = install_gate(primary)
+    return (*_with_witness(primary), gate)
 
 
 def _client(port: int, attempts: int = 5) -> DaemonClient:
@@ -318,6 +339,25 @@ class TestPair:
             # And the promoted daemon accepts new writes.
             assert pclient.request("put", obj="kp:new", value="after")["ok"]
             pclient.close()
+        finally:
+            witness.stop(graceful=False)
+            primary.kill()
+
+    def test_promotion_watermark_covers_receipts_after_a_redo_cycle(self):
+        primary, witness = _start_pair(redo_every_records=4)
+        try:
+            client = _client(primary.port)
+            lsis = [client.request("put", obj=f"pw:{i}", value=i)["lsi"]
+                    for i in range(4)]
+            client.close()
+            primary.kill()
+            pclient = _client(witness.port, attempts=10)
+            promote = pclient.request("promote")
+            pclient.close()
+            # The fourth receipt started a redo cycle, which installed
+            # and truncated the whole adopted log.
+            assert witness.redo_cycles >= 1
+            assert promote["watermark"] >= max(lsis)
         finally:
             witness.stop(graceful=False)
             primary.kill()
@@ -421,3 +461,168 @@ class TestPair:
             client.close()
         finally:
             daemon.kill()
+
+
+# ----------------------------------------------------------------------
+# grouped acks on the replicated primary
+# ----------------------------------------------------------------------
+def _puts(prefix: str, count: int):
+    return [
+        (lambda client, i=i: client.request(
+            "put", obj=f"{prefix}{i}", value=i)["lsi"])
+        for i in range(count)
+    ]
+
+
+class TestGroupedReplication:
+    def test_queued_writes_share_one_force_and_one_batch(self):
+        primary, witness, gate = _start_gated_pair()
+        try:
+            obs = primary.system.obs
+            results, join = run_on_own_connections(
+                lambda: _client(primary.port, attempts=1), _puts("gr", 6)
+            )
+            wait_queued(primary, 6)
+            forces = obs.counter_value("io.log_forces")
+            batches = obs.counter_value("repl.batches")
+            gate.opened.set()
+            join()
+            assert all(isinstance(lsi, int) for lsi in results), results
+            assert obs.counter_value("io.log_forces") == forces + 1
+            assert obs.counter_value("repl.batches") == batches + 1
+            # Every acked lSI was covered by the witness's receipt.
+            assert all(witness.system.log.is_stable(lsi) for lsi in results)
+        finally:
+            gate.opened.set()
+            witness.stop(graceful=False)
+            primary.kill()
+
+    def test_withheld_receipt_acks_no_member(self):
+        primary, witness, gate = _start_gated_pair(ack_timeout_s=0.3)
+        original = witness._send_to_primary
+
+        def no_receipts(sock, frame):
+            if frame.get("kind") != "repl_ack":
+                original(sock, frame)
+
+        witness._send_to_primary = no_receipts
+        try:
+            obs = primary.system.obs
+            results, join = run_on_own_connections(
+                lambda: _client(primary.port, attempts=1), _puts("wr", 4)
+            )
+            wait_queued(primary, 4)
+            acked = obs.counter_value("serve.acked_writes")
+            gate.opened.set()
+            join()
+            assert all(isinstance(r, ServerUnavailableError)
+                       for r in results), results
+            assert obs.counter_value("serve.acked_writes") == acked
+        finally:
+            gate.opened.set()
+            witness.stop(graceful=False)
+            primary.kill()
+
+    def test_member_whose_deadline_passes_before_the_receipt_is_not_acked(
+        self
+    ):
+        primary, witness, gate = _start_gated_pair(ack_timeout_s=5.0)
+        original = witness._send_to_primary
+        doomed = []
+
+        def late_receipts(sock, frame):
+            # Hold the group's receipt until the short member's own
+            # deadline has passed; the others' deadlines have not.
+            if frame.get("kind") == "repl_ack" and doomed:
+                while time.monotonic() <= doomed[0]:
+                    time.sleep(0.002)
+            original(sock, frame)
+
+        witness._send_to_primary = late_receipts
+        calls = [
+            lambda client: client.request(
+                "put", obj="ld0", value=0)["lsi"],
+            lambda client: client.request(
+                "put", obj="ld1", value=1, deadline_ms=1000)["lsi"],
+            lambda client: client.request(
+                "put", obj="ld2", value=2)["lsi"],
+        ]
+        try:
+            obs = primary.system.obs
+            results, join = run_on_own_connections(
+                lambda: _client(primary.port, attempts=1), calls
+            )
+            wait_queued(primary, 3)
+            doomed.append(min(work.deadline for work in list(gate.queue)))
+            acked = obs.counter_value("serve.acked_writes")
+            batches = obs.counter_value("repl.batches")
+            gate.opened.set()
+            join()
+            assert isinstance(results[1], ServerUnavailableError), results
+            assert isinstance(results[0], int), results
+            assert isinstance(results[2], int), results
+            # The short member executed in the group (it did not expire
+            # in the queue) and shared its batch, but was not acked.
+            assert primary.system.cache.vsi_of("ld1") != 0
+            assert obs.counter_value("repl.batches") == batches + 1
+            assert obs.counter_value("serve.acked_writes") == acked + 2
+        finally:
+            gate.opened.set()
+            witness.stop(graceful=False)
+            primary.kill()
+
+    def test_every_member_has_a_complete_trace_tree(self, tmp_path, capsys):
+        from repro.obs import MetricsRegistry, dump_jsonl
+        from repro.obs import tracetree
+
+        primary, witness, gate = _start_gated_pair()
+        registries = [MetricsRegistry() for _ in range(5)]
+        pool = iter(registries)
+        clients = []
+
+        def connect():
+            client = DaemonClient(
+                "127.0.0.1", primary.port, obs=next(pool),
+                policy=RetryPolicy(attempts=1),
+            )
+            clients.append(client)
+            return client
+
+        try:
+            results, join = run_on_own_connections(connect, _puts("tr", 5))
+            wait_queued(primary, 5)
+            gate.opened.set()
+            join()
+            assert all(isinstance(lsi, int) for lsi in results), results
+        finally:
+            gate.opened.set()
+            # Stopped first: the witness records its ack span after the
+            # primary may already have acked.
+            witness.stop(graceful=False)
+            primary.kill()
+        paths = []
+        for name, registry in [("primary", primary.system.obs),
+                               ("witness", witness.system.obs)] + [
+                (f"client{i}", r) for i, r in enumerate(registries)]:
+            path = str(tmp_path / f"{name}.jsonl")
+            dump_jsonl(registry, path)
+            paths.append(path)
+        expect = ["client.put", "ack.queue_ms", "ack.apply_ms",
+                  "ack.force_ms", "ack.repl_wait_ms"]
+        spans = tracetree.collect_spans(paths)
+        with_witness_chain = 0
+        for client in clients:
+            trace_id = client.last_trace
+            assert tracetree.main(paths, trace_id=trace_id,
+                                  expect=expect) == 0
+            roots = tracetree.build_trace(spans, trace_id)
+            nodes = {node.name: node for node in roots[0].walk()}
+            if "witness.ack_ms" in nodes:
+                with_witness_chain += 1
+                # The chain hangs under the leader's replication wait.
+                ship = nodes["repl.ship_ms"]
+                assert ship in nodes["ack.repl_wait_ms"].children
+                assert nodes["witness.adopt_ms"] in ship.children
+        capsys.readouterr()
+        # One group, one shipped batch: exactly one member carries it.
+        assert with_witness_chain == 1

@@ -8,6 +8,7 @@ crashes and recoveries are driven deterministically.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -26,9 +27,15 @@ from repro.serve import (
     RetryPolicy,
     ServeDaemon,
     ServerFailedError,
+    ServerUnavailableError,
     ShuttingDownError,
 )
 from repro.workloads import register_workload_functions
+from tests.queue_gate import (
+    install_gate,
+    run_on_own_connections,
+    wait_queued,
+)
 
 ONE_SHOT = RetryPolicy(attempts=1)
 
@@ -448,4 +455,196 @@ class TestHTTPEndpoint:
             body = json.loads(excinfo.value.read().decode())
             assert body["health"] == "failed"
         finally:
+            daemon.stop(graceful=False)
+
+
+# ----------------------------------------------------------------------
+# grouped acks: one force per batch of queued writes
+# ----------------------------------------------------------------------
+def gated_daemon(system):
+    """A started daemon whose apply loop waits for ``gate.opened``."""
+    daemon = ServeDaemon(
+        system, DaemonConfig(port=0, http_port=None, max_queue=16)
+    )
+    gate = install_gate(daemon)
+    return daemon.start(), gate
+
+
+def put_call(obj, value, **kw):
+    return lambda client: client.put(obj, value, **kw)
+
+
+class TestGroupedAcks:
+    def test_queued_writes_share_one_force(self):
+        system = RecoverableSystem()
+        daemon, gate = gated_daemon(system)
+        try:
+            results, join = run_on_own_connections(
+                lambda: client_for(daemon),
+                [put_call(f"g{i}", b"v%d" % i) for i in range(5)],
+            )
+            wait_queued(daemon, 5)
+            forces = system.obs.counter_value("io.log_forces")
+            gate.opened.set()
+            join()
+            assert all(isinstance(lsi, int) for lsi in results), results
+            assert len(set(results)) == 5
+            assert system.obs.counter_value("io.log_forces") == forces + 1
+            assert all(system.log.is_stable(lsi) for lsi in results)
+        finally:
+            gate.opened.set()
+            daemon.stop(graceful=False)
+
+    def test_sequential_client_forces_once_per_write(self, served):
+        system = served.system
+        client = client_for(served)
+        forces = system.obs.counter_value("io.log_forces")
+        for index in range(4):
+            client.put("seq", index)
+        assert system.obs.counter_value("io.log_forces") == forces + 4
+        client.close()
+
+    def test_fault_on_the_group_force_acks_no_member(self):
+        system = RecoverableSystem()
+        daemon, gate = gated_daemon(system)
+        original = system.log.force_through
+        forced = []
+
+        def crashing(lsi):
+            forced.append(lsi)
+            if len(forced) == 1:
+                raise SimulatedCrash("device lost mid-force")
+            return original(lsi)
+
+        system.log.force_through = crashing
+        try:
+            results, join = run_on_own_connections(
+                lambda: client_for(daemon),
+                [put_call(f"f{i}", i) for i in range(4)],
+            )
+            wait_queued(daemon, 4)
+            gate.opened.set()
+            join()
+            assert len(forced) == 1
+            assert all(isinstance(r, ServerUnavailableError)
+                       for r in results), results
+            # The watchdog took over once, and the daemon serves again.
+            assert daemon.watchdog.restarts == 1
+            assert system.health is SystemHealth.HEALTHY
+            client = client_for(daemon)
+            assert client.get("f0")[1] == 0  # never acked, never durable
+            assert client.put("f0", b"again") > 0
+            client.close()
+        finally:
+            gate.opened.set()
+            daemon.stop(graceful=False)
+
+    def test_crash_mid_group_serves_the_rest_after_recovery(self):
+        system = RecoverableSystem()
+        daemon, gate = gated_daemon(system)
+        original = system.execute
+        calls = []
+
+        def crash_second(op):
+            calls.append(op)
+            if len(calls) == 2:
+                raise SimulatedCrash("device lost mid-execute")
+            return original(op)
+
+        system.execute = crash_second
+        try:
+            results, join = run_on_own_connections(
+                lambda: client_for(daemon),
+                [put_call(f"m{i}", i) for i in range(3)],
+            )
+            wait_queued(daemon, 3)
+            gate.opened.set()
+            join()
+            # The executed member and the crashed one are refused; the
+            # third runs after the watchdog's recovery and is acked.
+            refused = [r for r in results
+                       if isinstance(r, ServerUnavailableError)]
+            acked = [r for r in results if isinstance(r, int)]
+            assert len(refused) == 2 and len(acked) == 1, results
+            assert daemon.watchdog.restarts == 1
+            assert system.log.is_stable(acked[0])
+        finally:
+            gate.opened.set()
+            daemon.stop(graceful=False)
+
+    def test_member_past_its_deadline_is_not_acked(self):
+        system = RecoverableSystem()
+        daemon, gate = gated_daemon(system)
+        try:
+            results, join = run_on_own_connections(
+                lambda: client_for(daemon),
+                [
+                    put_call("d0", 0),
+                    put_call("d1", 1, deadline_ms=1),
+                    put_call("d2", 2),
+                ],
+            )
+            wait_queued(daemon, 3)
+            doomed = min(work.deadline for work in list(gate.queue))
+            while time.monotonic() <= doomed:
+                time.sleep(0.001)
+            forces = system.obs.counter_value("io.log_forces")
+            gate.opened.set()
+            join()
+            by_key = dict(zip(("d0", "d1", "d2"), results))
+            assert isinstance(by_key["d1"], DeadlineExceededError)
+            assert isinstance(by_key["d0"], int)
+            assert isinstance(by_key["d2"], int)
+            assert system.cache.vsi_of("d1") == 0
+            assert system.obs.counter_value("io.log_forces") == forces + 1
+        finally:
+            gate.opened.set()
+            daemon.stop(graceful=False)
+
+    def test_answers_keep_connection_order_and_follow_the_group(
+        self, monkeypatch
+    ):
+        from repro.serve import protocol
+        from repro.serve.server import _Connection
+
+        sent = []
+        original_send = _Connection.send
+
+        def recording_send(conn, message):
+            sent.append(message.get("id"))
+            original_send(conn, message)
+
+        monkeypatch.setattr(_Connection, "send", recording_send)
+        system = RecoverableSystem()
+        daemon, gate = gated_daemon(system)
+        a = socket.create_connection(("127.0.0.1", daemon.port))
+        b = socket.create_connection(("127.0.0.1", daemon.port))
+        try:
+            def send(sock, **frame):
+                protocol.send_frame(sock, frame)
+                wait_queued(daemon, len(sent_frames) + 1)
+                sent_frames.append(frame["id"])
+
+            sent_frames = []
+            send(a, id="a1", kind="put", obj="k1", value="one")
+            send(b, id="b1", kind="put", obj="k2", value="two")
+            send(a, id="a2", kind="get", obj="k2")
+            send(a, id="a3", kind="put", obj="k1", value="three")
+            forces = system.obs.counter_value("io.log_forces")
+            gate.opened.set()
+            on_a = [protocol.recv_frame(a) for _ in range(3)]
+            on_b = protocol.recv_frame(b)
+            assert [r["id"] for r in on_a] == ["a1", "a2", "a3"]
+            assert all(r["ok"] for r in on_a + [on_b])
+            # The get closed the {a1, b1} group: it is answered after
+            # both acks, and it sees b1's write at b1's lSI.
+            assert sent == ["a1", "b1", "a2", "a3"]
+            assert on_a[1]["value"] == "two"
+            assert on_a[1]["vsi"] == on_b["lsi"]
+            # One force for the group, one for the write after the get.
+            assert system.obs.counter_value("io.log_forces") == forces + 2
+        finally:
+            a.close()
+            b.close()
+            gate.opened.set()
             daemon.stop(graceful=False)
