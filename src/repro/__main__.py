@@ -111,8 +111,6 @@ from repro.serve import (
     RetryPolicy,
     ServeDaemon,
     ServeError,
-    ShardedDaemonConfig,
-    ShardedServeDaemon,
     ShardLiveFireConfig,
     ShardLiveFireHarness,
 )
@@ -308,23 +306,25 @@ def torture_v3(args: argparse.Namespace) -> int:
     return status
 
 
-def _shard_components(args: argparse.Namespace, index: int):
-    """Store + log for one shard, under ``data-dir/shard-<index>``."""
-    shard_dir = os.path.join(args.data_dir, f"shard-{index}")
-    backend = getattr(args, "store", "file")
+def _shard_components(args: argparse.Namespace, index: Optional[int]):
+    """Store + log under ``data-dir/shard-<index>`` (the data dir itself
+    for an unsharded daemon, ``index`` None)."""
+    directory = args.data_dir
+    if index is not None:
+        directory = os.path.join(args.data_dir, f"shard-{index}")
     if args.fault_seed is not None:
         model = FaultModel.fuzz(
-            args.fault_seed + index,
+            args.fault_seed + (index or 0),
             FuzzRates(
                 transient=args.p_transient,
                 torn=args.p_torn,
                 corrupt=args.p_corrupt,
             ),
         )
-        return make_store(backend, shard_dir, model=model), FaultyFileLog(
-            shard_dir, model
+        return make_store(args.store, directory, model=model), FaultyFileLog(
+            directory, model
         )
-    return make_store(backend, shard_dir), FileLogManager(shard_dir)
+    return make_store(args.store, directory), FileLogManager(directory)
 
 
 def torture_v4(args: argparse.Namespace) -> int:
@@ -428,14 +428,6 @@ def serve_daemon(args: argparse.Namespace) -> int:
         group_commit=args.group_commit,
         group_commit_interval_ms=args.group_commit_interval_ms,
     )
-    metrics = MetricsRegistry()
-    if args.shards > 1 and (args.witness_of or args.replicate):
-        print(
-            "replication serves one recovery domain per daemon; "
-            "--witness-of/--replicate cannot combine with --shards > 1",
-            file=sys.stderr,
-        )
-        return 2
     if args.shards > 1:
         # Sharded topology: each shard recovers its own directory (its
         # own WAL stream) independently; the daemon gates admission and
@@ -443,99 +435,67 @@ def serve_daemon(args: argparse.Namespace) -> int:
         stores_logs = [
             _shard_components(args, index) for index in range(args.shards)
         ]
-        sharded = ShardedSystem.build(
+        system = ShardedSystem.build(
             args.shards,
             config_factory=lambda index: system_config,
             store_factory=lambda index: stores_logs[index][0],
             log_factory=lambda index: stores_logs[index][1],
         )
-        register_workload_functions(sharded.registry)
-        for shard_system in sharded.systems:
-            # Cold start per shard (see the single-kernel comment).
-            shard_system.crash()
-        daemon = ShardedServeDaemon(
-            sharded,
-            ShardedDaemonConfig(
-                host=args.host,
-                port=args.port,
-                http_port=None if args.no_http else args.http_port,
-                max_queue=args.max_queue,
-                default_deadline_ms=args.default_deadline_ms,
-                allow_chaos=args.allow_chaos,
-                flightrec_path=os.path.join(
-                    args.data_dir, "flightrec.jsonl"
-                ),
-            ),
-        )
-        daemon.start()
-        health = daemon.aggregate_health()
-        print(
-            f"serving {args.data_dir} on {args.host}:{daemon.port} "
-            f"({args.shards} shards, health: {health.value}"
-            + (f", http: {daemon.http_port}" if daemon.http_port else "")
-            + ")",
-            flush=True,
-        )
-        return _serve_wait(daemon, args, metrics=daemon.obs)
-    if args.fault_seed is not None:
-        model = FaultModel.fuzz(
-            args.fault_seed,
-            FuzzRates(
-                transient=args.p_transient,
-                torn=args.p_torn,
-                corrupt=args.p_corrupt,
-            ),
-        )
-        store = make_store(args.store, args.data_dir, model=model)
-        log = FaultyFileLog(args.data_dir, model)
+        systems = system.systems
     else:
-        store = make_store(args.store, args.data_dir)
-        log = FileLogManager(args.data_dir)
-    system = RecoverableSystem(system_config, store=store, log=log)
-    register_workload_functions(system.registry)
-    system.attach_metrics(metrics)
+        store, log = _shard_components(args, None)
+        system = RecoverableSystem(system_config, store=store, log=log)
+        systems = [system]
+    register_workload_functions(systems[0].registry)
     # Cold start: whatever the directory contains — a clean shutdown,
     # SIGKILL debris — the daemon's supervised startup must recover it
     # before the listener opens.  Entering the crashed state makes the
     # watchdog run the full escalation ladder.
-    system.crash()
+    for domain in systems:
+        domain.crash()
     daemon_config = DaemonConfig(
         host=args.host,
         port=args.port,
         http_port=None if args.no_http else args.http_port,
         max_queue=args.max_queue,
         default_deadline_ms=args.default_deadline_ms,
+        allow_chaos=args.allow_chaos,
         flightrec_path=os.path.join(args.data_dir, "flightrec.jsonl"),
     )
-    if args.witness_of:
-        primary_host, primary_port = _parse_primary(args.witness_of)
-        daemon = WitnessDaemon(
-            system,
-            daemon_config,
-            witness=WitnessConfig(
-                primary_host=primary_host,
-                primary_port=primary_port,
-                epoch_root=args.data_dir,
-            ),
-        )
-    elif args.replicate:
-        daemon = ServeDaemon(
-            system,
-            daemon_config,
-            replication=ReplicationConfig(epoch_root=args.data_dir),
-        )
-    else:
-        daemon = ServeDaemon(system, daemon_config)
+    try:
+        if args.witness_of:
+            primary_host, primary_port = _parse_primary(args.witness_of)
+            daemon = WitnessDaemon(
+                system,
+                daemon_config,
+                witness=WitnessConfig(
+                    primary_host=primary_host,
+                    primary_port=primary_port,
+                    epoch_root=args.data_dir,
+                ),
+            )
+        else:
+            daemon = ServeDaemon(
+                system,
+                daemon_config,
+                replication=(ReplicationConfig(epoch_root=args.data_dir)
+                             if args.replicate else None),
+            )
+    except ValueError as exc:
+        system.close()
+        print(exc, file=sys.stderr)
+        return 2
     daemon.start()
+    topology = f"{args.shards} shards, " if args.shards > 1 else ""
     role = f", role: {daemon.role}" if daemon.role != "primary" else ""
     print(
         f"serving {args.data_dir} on {args.host}:{daemon.port} "
-        f"(health: {system.health.value}{role}"
+        f"({topology}health: {daemon.aggregate_health().value}{role}"
         + (f", http: {daemon.http_port}" if daemon.http_port else "")
         + ")",
         flush=True,
     )
-    return _serve_wait(daemon, args, metrics=metrics)
+    return _serve_wait(daemon, args, metrics=daemon.obs)
 
 
 def _serve_wait(daemon, args: argparse.Namespace, metrics) -> int:

@@ -189,8 +189,10 @@ class ReplicationSender:
             self._cond.notify_all()
         if previous is not None and previous is not conn:
             previous.close()
-        if self.daemon.system.obs.enabled:
-            self.daemon.system.obs.count("repl.subscribes")
+        obs = self.daemon.system.obs
+        if obs.enabled:
+            obs.count("repl.subscribes")
+            obs.gauge("repl.witness_watermark", watermark)
 
     def _handle_ack(
         self, conn: "_Connection", request: Dict[str, Any]

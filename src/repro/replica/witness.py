@@ -51,6 +51,7 @@ from repro.serve.server import (
     ServeDaemon,
     _Connection,
     _Reply,
+    _Shard,
 )
 from repro.storage.backup import FuzzyBackup
 
@@ -74,6 +75,8 @@ class WitnessConfig:
 class WitnessDaemon(ServeDaemon):
     """A daemon that redoes a primary's shipped WAL until promoted."""
 
+    role = "witness"
+
     def __init__(
         self,
         system: RecoverableSystem,
@@ -85,7 +88,6 @@ class WitnessDaemon(ServeDaemon):
         self.witness_config = witness if witness is not None else WitnessConfig()
         self.epochs = EpochStore(self.witness_config.epoch_root)
         self.epoch = self.epochs.load()
-        self.role = "witness"
         self._promoted = threading.Event()
         #: Serializes kernel access between the subscriber thread
         #: (adopt / redo cycles) and the apply thread (promotion).
@@ -114,9 +116,9 @@ class WitnessDaemon(ServeDaemon):
     # ------------------------------------------------------------------
     def start(self) -> "WitnessDaemon":
         super().start()
-        # Whatever the adopted log already holds is our durable resume
+        # Whatever the adopted log already covers is our durable resume
         # position; the primary re-ships anything past it.
-        self._adopted_through = self.system.log.stable_end_lsi()
+        self._adopted_through = self.system.log.stable_through()
         self._subscriber_thread = threading.Thread(
             target=self._subscriber_loop,
             name="repro-witness-subscribe",
@@ -228,23 +230,22 @@ class WitnessDaemon(ServeDaemon):
                 return
         super()._admit(conn, request)
 
-    def _inline_answer(
-        self, kind: str, request_id: Any, health: SystemHealth
-    ) -> Dict[str, Any]:
-        answer = super()._inline_answer(kind, request_id, health)
+    def _inline_answer(self, kind: str, request_id: Any) -> Dict[str, Any]:
+        answer = super()._inline_answer(kind, request_id)
         if kind in ("ping", "health"):
             answer.update(self.replication_status())
         return answer
 
     def _dispatch(
         self,
+        shard: _Shard,
         request: Dict[str, Any],
         request_id: Any,
         trace: Optional[TraceContext],
     ) -> _Reply:
         if request.get("kind") == "promote":
             return self._promote(request_id)
-        return super()._dispatch(request, request_id, trace)
+        return super()._dispatch(shard, request, request_id, trace)
 
     # ------------------------------------------------------------------
     # the subscriber: dial, adopt, ack, redo
@@ -285,7 +286,10 @@ class WitnessDaemon(ServeDaemon):
             protocol.send_frame(sock, frame)
 
     def _subscribe_and_stream(self, sock: socket.socket) -> None:
-        watermark = self.system.log.stable_end_lsi()
+        # Resume from everything already acknowledged: a redo cycle may
+        # have truncated the adopted log, but not what it covered.
+        with self._witness_lock:
+            watermark = self._adopted_through
         self._send_to_primary(
             sock, wire.subscribe_frame(watermark, self.epoch)
         )
@@ -365,7 +369,7 @@ class WitnessDaemon(ServeDaemon):
             self._adopted_through = max(
                 self._adopted_through,
                 through,
-                self.system.log.stable_end_lsi(),
+                self.system.log.stable_through(),
             )
             self._primary_through = max(self._primary_through, through)
             self._records_since_cycle += len(records)
@@ -514,12 +518,9 @@ class WitnessDaemon(ServeDaemon):
                 pass
         self._halt_subscriber()
         with self._witness_lock:
-            # Every receipt this witness sent is covered: a redo cycle
-            # may have truncated the adopted log down to nothing, so its
-            # stable end alone can fall below what was acknowledged.
-            watermark = max(
-                self._adopted_through, self.system.log.stable_end_lsi()
-            )
+            # Every receipt this witness sent is covered, even after a
+            # redo cycle truncated the adopted log down to nothing.
+            watermark = self._adopted_through
             if not self.system._crashed:
                 self.system.crash()
             RecoverySupervisor(

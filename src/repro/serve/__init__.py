@@ -1,12 +1,14 @@
-"""The serving layer: an operable daemon over one recoverable system.
+"""The serving layer: an operable daemon over 1..N recovery domains.
 
 ``repro.serve`` turns the kernel + escalation-ladder machinery into a
 long-running process with an operator's contract:
 
-* :class:`ServeDaemon` — supervised startup, health-gated admission,
-  single-writer apply loop with force-before-ack durability, deadlines
-  and backpressure, graceful (SIGTERM) and abrupt (SIGKILL-model)
-  shutdown, and a ``/metrics`` + ``/healthz`` scrape endpoint;
+* :class:`ServeDaemon` — over one ``RecoverableSystem`` or a
+  ``ShardedSystem`` of N: supervised startup, health-gated admission,
+  one single-writer apply loop per shard with grouped force-before-ack
+  durability, deadlines and backpressure, graceful (SIGTERM) and abrupt
+  (SIGKILL-model) shutdown, and a ``/metrics`` + ``/healthz`` scrape
+  endpoint;
 * :class:`DaemonClient` / :class:`RetryPolicy` — the client library:
   jittered exponential backoff that honors server ``retry_after_ms``
   hints under an overall elapsed deadline budget;
@@ -21,13 +23,13 @@ The live-fire torture lane (:mod:`repro.serve.livefire`, surfaced as
 daemon under storage faults and kills, asserting every acknowledged
 write survives recovery.
 
-Sharded serving (:mod:`repro.serve.sharded`, ``python -m repro serve
---shards N``) fronts N independent recovery domains —
-:class:`ShardedServeDaemon` with one apply thread, WAL stream, health
-gate and watchdog per shard, a fence-protocol rendezvous for
-cross-shard operations, and chaos endpoints used by the torture v4
-lane (:mod:`repro.serve.livefire_shard`) to kill one shard and prove
-the others keep serving.
+Sharded serving (``ServeDaemon(ShardedSystem)``, ``python -m repro
+serve --shards N``) fronts N independent recovery domains, each with
+its own apply thread, WAL stream, health gate and watchdog, plus a
+fence-protocol rendezvous for cross-shard operations and chaos
+endpoints used by the torture v4 lane
+(:mod:`repro.serve.livefire_shard`) to kill one shard and prove the
+others keep serving.
 
 Replication (:mod:`repro.replica`, ``--replicate`` /
 ``--witness-of``) pairs a primary with a witness that adopts and
@@ -62,7 +64,6 @@ from repro.serve.livefire_shard import (
     ShardLiveFireReport,
 )
 from repro.serve.server import WRITE_KINDS, DaemonConfig, ServeDaemon
-from repro.serve.sharded import ShardedDaemonConfig, ShardedServeDaemon
 from repro.serve.watchdog import ServingWatchdog, WatchdogConfig
 
 __all__ = [
@@ -88,8 +89,6 @@ __all__ = [
     "ShardLiveFireHarness",
     "ShardLiveFireOutcome",
     "ShardLiveFireReport",
-    "ShardedDaemonConfig",
-    "ShardedServeDaemon",
     "ShuttingDownError",
     "WRITE_KINDS",
     "WatchdogConfig",

@@ -32,8 +32,7 @@ The concrete wrappers all live here:
 * :class:`FaultyLogStructuredStore` — the log-structured store (damage
   lands on real segment bytes: torn appends, rotted record frames).
 
-``repro.storage.faults`` and ``repro.persist.faulty`` re-export the
-first two for compatibility.
+``repro.storage.faults`` re-exports the first two for compatibility.
 """
 
 from __future__ import annotations

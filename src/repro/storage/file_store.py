@@ -23,9 +23,7 @@ and unlink here is followed by :func:`~repro.storage.framing.fsync_dir`.
 Object ids are percent-encoded into file names (ids contain ``:`` and
 may contain ``/``).
 
-This is the canonical home of :class:`FileStableStore`; it historically
-lived at ``repro.persist.file_store``, which remains as a deprecation
-shim.
+This is the canonical home of :class:`FileStableStore`.
 """
 
 from __future__ import annotations

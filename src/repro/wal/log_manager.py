@@ -223,7 +223,7 @@ class LogManager:
                     "cannot adopt shipped records into a log with "
                     "buffered local appends"
                 )
-            floor = max(self.stable_end_lsi(), self._truncated_before - 1)
+            floor = self.stable_through()
             fresh: List[LogRecord] = []
             for record in records:
                 if record.lsi <= floor:
@@ -378,6 +378,16 @@ class LogManager:
     def stable_end_lsi(self) -> StateId:
         """lSI of the last stable record (NULL_SI when empty)."""
         return self._stable[-1].lsi if self._stable else NULL_SI
+
+    def stable_through(self) -> StateId:
+        """Highest lSI the stable log covers, truncated prefix included.
+
+        :meth:`stable_end_lsi` reads NULL_SI once truncation has emptied
+        the stable log, but every record below the truncation point was
+        stable before it was cut.  This is the durable watermark a
+        replication witness holds and re-subscribes from.
+        """
+        return max(self.stable_end_lsi(), self._truncated_before - 1)
 
     def stable_start_lsi(self) -> StateId:
         """lSI of the first retained stable record."""

@@ -1,9 +1,11 @@
 """Test helpers that make the daemon's grouped acks deterministic.
 
-The apply loop commits whatever writes are already queued as one group.
-:class:`GatedQueue` holds the loop off while a test fills the admission
-queue, so the group it then forms is exactly the requests the test
-queued — no sleeps, no timing assumptions.
+Each shard's apply loop commits whatever writes are already queued on
+that shard as one group.  :class:`GatedQueue` holds one shard's loop off
+while a test fills its admission queue, so the group it then forms is
+exactly the requests the test queued — no sleeps, no timing
+assumptions.  This is the only helper that touches a daemon's private
+queues.
 """
 
 from __future__ import annotations
@@ -26,17 +28,18 @@ class GatedQueue(queue.Queue):
         return super().get(block, timeout)
 
 
-def install_gate(daemon) -> GatedQueue:
-    """Give a not-yet-started daemon a closed :class:`GatedQueue`."""
+def install_gate(daemon, shard: int = 0) -> GatedQueue:
+    """Give a not-yet-started daemon's ``shard`` a closed
+    :class:`GatedQueue`."""
     gate = GatedQueue(daemon.config.max_queue)
-    daemon._queue = gate
+    daemon._shards[shard].queue = gate
     return gate
 
 
-def wait_queued(daemon, count: int) -> None:
-    """Poll until at least ``count`` requests sit in the queue."""
+def wait_queued(daemon, count: int, shard: int = 0) -> None:
+    """Poll until at least ``count`` requests sit in ``shard``'s queue."""
     deadline = time.monotonic() + 10.0
-    while daemon._queue.qsize() < count:
+    while daemon._shards[shard].queue.qsize() < count:
         assert time.monotonic() < deadline, "requests never queued"
         time.sleep(0.002)
 

@@ -37,13 +37,19 @@ class TestTopLevel:
             assert name in repro.__all__, name
 
     def test_sharding_surface_exported(self):
-        # The sharded-serving surface (PR 7) is part of the package API.
+        # The sharded-serving surface is part of the package API; a
+        # ShardedSystem is served by the one ServeDaemon, and the old
+        # second daemon and its config are gone without an alias.
         for name in (
             "ShardRouter", "ShardedSystem", "CrossShardError", "FenceAudit",
-            "ShardedDaemonConfig", "ShardedServeDaemon",
+            "ServeDaemon", "DaemonConfig",
             "ShardLiveFireConfig", "ShardLiveFireHarness",
         ):
             assert name in repro.__all__, name
+        for module in (repro, serve):
+            for name in ("ShardedServeDaemon", "ShardedDaemonConfig"):
+                assert name not in module.__all__, name
+                assert not hasattr(module, name), name
 
     def test_version_is_pep440ish(self):
         parts = repro.__version__.split(".")
@@ -102,47 +108,22 @@ class TestStorageModule:
 
 
 class TestDeprecatedPaths:
-    """Old import paths still work, warn, and have no internal callers."""
-
-    @pytest.mark.parametrize(
-        "module, names",
-        [
-            ("repro.persist.file_store", ["FileStableStore"]),
-            ("repro.persist.faulty", ["FaultyFileStore", "FaultyFileLog"]),
-        ],
-    )
-    def test_shim_warns_and_reexports(self, module, names):
-        saved = sys.modules.pop(module, None)
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                shim = importlib.import_module(module)
-            assert any(
-                issubclass(w.category, DeprecationWarning) for w in caught
-            ), f"{module} did not warn"
-            for name in names:
-                canonical = getattr(repro.persist, name)
-                assert getattr(shim, name) is canonical, name
-        finally:
-            if saved is not None:
-                sys.modules[module] = saved
+    """Removed import paths stay removed and have no internal callers."""
 
     def test_no_internal_callers(self):
-        # The shims exist for external code only: nothing inside the
-        # package may import through them (importing one would fire a
-        # DeprecationWarning at the user from our own internals).
+        # The repro.persist.file_store / repro.persist.faulty shims were
+        # removed in 3.0.0: the old paths no longer import, and nothing
+        # inside the package may still name them.
+        for module in ("repro.persist.file_store", "repro.persist.faulty"):
+            sys.modules.pop(module, None)
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
         package_root = Path(repro.__file__).parent
         deprecated = re.compile(
             r"^\s*(from|import)\s+repro\.persist\.(faulty|file_store)\b"
         )
-        shims = {
-            package_root / "persist" / "faulty.py",
-            package_root / "persist" / "file_store.py",
-        }
         offenders = []
         for path in package_root.rglob("*.py"):
-            if path in shims:
-                continue
             for lineno, line in enumerate(
                 path.read_text().splitlines(), start=1
             ):

@@ -362,6 +362,58 @@ class TestPair:
             witness.stop(graceful=False)
             primary.kill()
 
+    def test_resubscribe_after_a_redo_cycle_keeps_the_watermark(
+        self, monkeypatch
+    ):
+        from repro.replica import wire
+
+        subscribed = []
+        original_frame = wire.subscribe_frame
+
+        def recording_frame(watermark, epoch):
+            subscribed.append(watermark)
+            return original_frame(watermark, epoch)
+
+        monkeypatch.setattr(wire, "subscribe_frame", recording_frame)
+        primary = _primary()
+        gauged = []
+        original_gauge = primary.system.obs.gauge
+
+        def recording_gauge(name, value, *args, **kwargs):
+            if name == "repl.witness_watermark":
+                gauged.append(value)
+            return original_gauge(name, value, *args, **kwargs)
+
+        primary.system.obs.gauge = recording_gauge
+        primary, witness = _with_witness(primary, redo_every_records=4)
+        try:
+            client = _client(primary.port)
+            acked = max(client.request("put", obj=f"rw:{i}", value=i)["lsi"]
+                        for i in range(4))
+            deadline = time.monotonic() + 10.0
+            while witness.redo_cycles < 1:
+                assert time.monotonic() < deadline, "no redo cycle ran"
+                time.sleep(0.01)
+            # The cycle installed and truncated the whole adopted log.
+            assert witness.system.log.stable_end_lsi() == NULL_SI
+            gauged.clear()
+            subscribes = primary.system.obs.counter_value("repl.subscribes")
+            witness._close_subscriber_sock()
+            while not (primary.system.obs.counter_value("repl.subscribes")
+                       > subscribes and witness.attached):
+                assert time.monotonic() < deadline, "never re-subscribed"
+                time.sleep(0.01)
+            assert len(subscribed) >= 2
+            assert subscribed[-1] >= acked
+            assert gauged and min(gauged) >= acked
+            assert primary.replication.watermark >= acked
+            # The pair still acks after the reconnect.
+            assert client.request("put", obj="rw:after", value=1)["ok"]
+            client.close()
+        finally:
+            witness.stop(graceful=False)
+            primary.kill()
+
     def test_promotion_is_idempotent(self):
         primary, witness = _start_pair()
         try:

@@ -30,6 +30,8 @@ from repro.serve import (
     ServerUnavailableError,
     ShuttingDownError,
 )
+from repro.replica import ReplicationConfig, WitnessConfig, WitnessDaemon
+from repro.shard import ShardedSystem
 from repro.workloads import register_workload_functions
 from tests.queue_gate import (
     install_gate,
@@ -474,6 +476,32 @@ def put_call(obj, value, **kw):
     return lambda client: client.put(obj, value, **kw)
 
 
+def gated_sharded_daemon(shards=2):
+    """A started sharded daemon whose shard 0 waits for ``gate.opened``."""
+    sharded = ShardedSystem.build(shards)
+    register_workload_functions(sharded.registry)
+    daemon = ServeDaemon(
+        sharded, DaemonConfig(port=0, http_port=None, max_queue=16)
+    )
+    gate = install_gate(daemon, shard=0)
+    return daemon.start(), gate
+
+
+def keys_on(daemon, shard, count, tag="k"):
+    """``count`` object names the daemon routes to ``shard``."""
+    router, keys, probe = daemon.sharded.router, [], 0
+    while len(keys) < count:
+        key = f"{tag}:{probe}"
+        probe += 1
+        if router.shard_of(key) == shard:
+            keys.append(key)
+    return keys
+
+
+def shard_forces(daemon, shard):
+    return daemon.sharded.systems[shard].obs.counter_value("io.log_forces")
+
+
 class TestGroupedAcks:
     def test_queued_writes_share_one_force(self):
         system = RecoverableSystem()
@@ -648,3 +676,123 @@ class TestGroupedAcks:
             b.close()
             gate.opened.set()
             daemon.stop(graceful=False)
+
+    # The same grouped commit on a 2-shard daemon: each shard groups its
+    # own queued writes, and shard 1 is never held up by shard 0.
+    def test_sharded_queued_writes_share_one_force_per_shard(self):
+        daemon, gate = gated_sharded_daemon()
+        try:
+            keys = keys_on(daemon, 0, 4, "g")
+            results, join = run_on_own_connections(
+                lambda: client_for(daemon),
+                [put_call(key, b"v") for key in keys],
+            )
+            wait_queued(daemon, 4, shard=0)
+            before = [shard_forces(daemon, k) for k in (0, 1)]
+            gate.opened.set()
+            join()
+            assert all(isinstance(lsi, int) for lsi in results), results
+            assert shard_forces(daemon, 0) == before[0] + 1
+            assert shard_forces(daemon, 1) == before[1]
+            log = daemon.sharded.systems[0].log
+            assert all(log.is_stable(lsi) for lsi in results)
+        finally:
+            gate.opened.set()
+            daemon.stop(graceful=False)
+
+    def test_cross_shard_apply_closes_the_group(self, monkeypatch):
+        from repro.serve.server import _Connection
+
+        sent = []
+        original_send = _Connection.send
+
+        def recording_send(conn, message):
+            sent.append("cross" if message.get("cross") else "ack")
+            original_send(conn, message)
+
+        monkeypatch.setattr(_Connection, "send", recording_send)
+        daemon, gate = gated_sharded_daemon()
+        try:
+            keys = keys_on(daemon, 0, 3, "c")
+            (dst,) = keys_on(daemon, 1, 1, "d")
+            calls = [put_call(key, b"v") for key in keys]
+            results, join = run_on_own_connections(
+                lambda: client_for(daemon), calls
+            )
+            wait_queued(daemon, 3, shard=0)
+            cross, cross_join = run_on_own_connections(
+                lambda: client_for(daemon),
+                [lambda client: client.apply(
+                    "wl_derive", reads=[keys[0]], writes=[dst],
+                    params=[keys[0], dst],
+                )],
+            )
+            wait_queued(daemon, 4, shard=0)
+            forces = shard_forces(daemon, 0)
+            gate.opened.set()
+            join()
+            cross_join()
+            assert all(isinstance(lsi, int) for lsi in results), results
+            assert cross[0]["cross"] is True, cross
+            # The three puts share one force and are acked before the
+            # cross apply, which runs alone and forces its own fence.
+            assert sent == ["ack", "ack", "ack", "cross"]
+            assert shard_forces(daemon, 0) == forces + 2
+        finally:
+            gate.opened.set()
+            daemon.stop(graceful=False)
+
+    def test_sharded_force_fault_acks_no_member_of_that_shard(self):
+        daemon, gate = gated_sharded_daemon()
+        system = daemon.sharded.systems[0]
+        original = system.log.force_through
+        forced = []
+
+        def crashing(lsi):
+            forced.append(lsi)
+            if len(forced) == 1:
+                raise SimulatedCrash("device lost mid-force")
+            return original(lsi)
+
+        system.log.force_through = crashing
+        try:
+            keys = keys_on(daemon, 0, 3, "f")
+            (other,) = keys_on(daemon, 1, 1, "o")
+            results, join = run_on_own_connections(
+                lambda: client_for(daemon),
+                [put_call(key, b"v") for key in keys],
+            )
+            wait_queued(daemon, 3, shard=0)
+            client = client_for(daemon)
+            # Shard 1 acks while shard 0's group is held...
+            assert client.put(other, b"1") > 0
+            gate.opened.set()
+            join()
+            assert len(forced) == 1
+            assert all(isinstance(r, ServerUnavailableError)
+                       for r in results), results
+            # ...and after shard 0's force fault, which only shard 0's
+            # watchdog handled.
+            assert client.put(other, b"2") > 0
+            shards = client.health()["shards"]
+            assert shards["0"]["restarts"] == 1
+            assert shards["1"]["restarts"] == 0
+            assert client.get(keys[0])[0] is None  # never acked
+            client.close()
+        finally:
+            gate.opened.set()
+            daemon.stop(graceful=False)
+
+    def test_replication_refuses_a_sharded_system(self):
+        with pytest.raises(ValueError, match="one recovery domain"):
+            ServeDaemon(
+                ShardedSystem.build(2),
+                DaemonConfig(port=0, http_port=None),
+                replication=ReplicationConfig(),
+            )
+        with pytest.raises(ValueError, match="one recovery domain"):
+            WitnessDaemon(
+                ShardedSystem.build(2),
+                DaemonConfig(port=0, http_port=None),
+                witness=WitnessConfig(),
+            )

@@ -24,21 +24,21 @@ from repro.serve import (
     RetryPolicy,
     ServerUnavailableError,
 )
-from repro.serve.sharded import ShardedDaemonConfig, ShardedServeDaemon
+from repro.serve import DaemonConfig, ServeDaemon
 from repro.shard import ShardedSystem
 from repro.workloads import register_workload_functions
 
 ONE_SHOT = RetryPolicy(attempts=1)
 
 
-def _daemon(shards: int = 2, **config_kw) -> ShardedServeDaemon:
+def _daemon(shards: int = 2, **config_kw) -> ServeDaemon:
     sharded = ShardedSystem.build(shards)
     register_workload_functions(sharded.registry)
     config_kw.setdefault("port", 0)
     config_kw.setdefault("http_port", None)
     config_kw.setdefault("max_queue", 8)
-    return ShardedServeDaemon(
-        sharded, ShardedDaemonConfig(**config_kw)
+    return ServeDaemon(
+        sharded, DaemonConfig(**config_kw)
     ).start()
 
 
